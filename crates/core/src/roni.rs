@@ -27,9 +27,10 @@
 //!   [`RoniDefense::screen_ids`] sweep untouched;
 //! * is allocation-free in steady state: the candidate delta is built
 //!   once (a sorted-id + bitset view) and shared by every trial, and
-//!   each worker thread pools one dense score scratch plus one verdict
-//!   cache per trial (`MeasureState`), invalidated in O(1) on binding
-//!   changes;
+//!   each worker thread pools one overlay score scratch (two
+//!   `sb_filter::ScoreMemo`s sized to the trial's validation vocabulary)
+//!   plus one verdict cache per trial (`MeasureState`), invalidated in
+//!   O(1) on binding changes;
 //! * skips whole validation messages: a message none of whose
 //!   candidate-member tokens is δ-eligible provably classifies exactly
 //!   as under the candidate-free `NS + 1` shift, so its cached verdict
@@ -46,7 +47,7 @@
 //! The substrate layers underneath still apply: the pool is tokenized and
 //! interned **once** at construction, trials and candidates move
 //! `&[TokenId]` only, and each trial's baseline sweep fills its
-//! generation-stamped score cache exactly once for the life of the
+//! generation-stamped score memo exactly once for the life of the
 //! evaluator.
 
 use sb_email::{Dataset, Label};
@@ -143,6 +144,9 @@ pub struct RoniDefense {
 struct Trial {
     filter: SpamBayes,
     val: Vec<(Arc<Vec<TokenId>>, Label)>,
+    /// Highest validation id + 1: every id a measurement sweep probes is
+    /// a validation id, so this bounds the overlay scratch's capacity.
+    memo_len: usize,
     baseline_ham_correct: usize,
     baseline_spam_correct: usize,
 }
@@ -200,7 +204,9 @@ impl Trial {
     /// allocation-free and skips classification entirely for validation
     /// messages the candidate does not intersect.
     fn measure(&self, delta: &CandidateDelta, state: &MeasureState) -> (f64, f64) {
-        let overlay = delta.over_with(self.filter.db(), &state.scratch);
+        let mut scratch = state.scratch.borrow_mut();
+        scratch.ensure_capacity(self.memo_len);
+        let overlay = delta.over_with(self.filter.db(), &mut scratch);
         let opts = self.filter.options();
         let db = self.filter.db();
         let (d_spam, d_ham) = delta.class_shift();
@@ -323,13 +329,19 @@ impl RoniDefense {
                     .map(|&i| tokenized[i].clone())
                     .collect();
                 // This baseline sweep is the *only* time a trial's score
-                // cache is filled; every later overlay measurement reads
+                // memo is filled; every later overlay measurement reads
                 // through it without invalidating.
                 let (baseline_ham_correct, baseline_spam_correct) =
                     correct_counts(filter.db(), filter.options(), &val);
+                let memo_len = val
+                    .iter()
+                    .flat_map(|(ids, _)| ids.iter())
+                    .max()
+                    .map_or(0, |id| id.index() + 1);
                 Trial {
                     filter,
                     val,
+                    memo_len,
                     baseline_ham_correct,
                     baseline_spam_correct,
                 }
@@ -438,10 +450,19 @@ impl RoniDefense {
         &self,
         candidates: &[impl AsIdSlice + Sync],
     ) -> Vec<RoniMeasurement> {
+        self.measure_ids_batch_on(candidates, par::default_threads())
+    }
+
+    /// [`Self::measure_ids_batch`] on at most `threads` workers.
+    fn measure_ids_batch_on(
+        &self,
+        candidates: &[impl AsIdSlice + Sync],
+        threads: usize,
+    ) -> Vec<RoniMeasurement> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let threads = par::default_threads().min(candidates.len());
+        let threads = threads.min(candidates.len());
         let threshold = self.cfg.reject_threshold;
         // One contiguous chunk per worker: the scratch memo is per-chunk
         // state, claimed per (candidate, trial) overlay by epoch bumps.
@@ -454,8 +475,11 @@ impl RoniDefense {
             // slots and every untouched validation message reuses its
             // cached verdict outright.
             let states = MeasureState::thread_local_pool(self.trials.len());
-            // sb-lint: allow(panic-path, "parallel_map hands each worker a k in 0..chunks.len()")
-            chunks[k]
+            // parallel_map hands each worker a k in 0..chunks.len().
+            chunks
+                .get(k)
+                .copied()
+                .unwrap_or_default()
                 .iter()
                 .map(|cand| {
                     let delta = CandidateDelta::spam_candidate(cand.ids());
@@ -657,6 +681,54 @@ mod tests {
             generations,
             "screening invalidated a trial's score cache"
         );
+    }
+
+    /// The overlay scratch is sized to the validation vocabulary, not to
+    /// the global interner: screening a batch with a dictionary candidate
+    /// and fresh vocabulary — both interned past every validation id —
+    /// leaves each pooled memo at most its trial's highest validation
+    /// id + 1.
+    #[test]
+    fn scratch_capacity_tracks_validation_ids_not_the_interner() {
+        let pool = pool();
+        let mut rng = Xoshiro256pp::new(13);
+        let roni =
+            RoniDefense::new(RoniConfig::default(), &pool, FilterOptions::default(), &mut rng);
+        let interner = sb_intern::Interner::global();
+        let tokenizer = Tokenizer::new();
+        let fresh: Vec<String> = (0..500).map(|i| format!("capacity{i}probe")).collect();
+        let fresh = interner.intern_set(&fresh);
+        // The smallest RONI variant: the 10,000-word Usenet lexicon.
+        let dictionary = crate::dictionary::DictionaryAttack::new(
+            crate::dictionary::DictionaryKind::roni_variants()[6],
+        );
+        let batch = vec![
+            fresh.clone(),
+            interner.intern_set(&tokenizer.token_set(dictionary.prototype())),
+        ];
+        let max_val: Vec<usize> = roni
+            .trials
+            .iter()
+            .map(|t| {
+                let ids = t.val.iter().flat_map(|(ids, _)| ids.iter());
+                ids.max().unwrap().index()
+            })
+            .collect();
+        assert!(fresh.last().unwrap().index() > *max_val.iter().max().unwrap());
+
+        // Fresh scratches, then one worker, so the pool this thread holds
+        // is exactly the one that screened the batch.
+        let states = MeasureState::thread_local_pool(roni.trials.len());
+        for state in &states {
+            *state.scratch.borrow_mut() = OverlayScratch::new();
+        }
+        let (kept, rejected) = split_verdicts(&roni.measure_ids_batch_on(&batch, 1));
+        assert_eq!(kept.len() + rejected.len(), batch.len());
+        for (state, max) in states.iter().zip(&max_val) {
+            let capacity = state.scratch.borrow().capacity();
+            assert!(capacity > 0, "the sweep never sized its scratch");
+            assert!(capacity <= max + 1, "capacity {capacity} > max val id {max} + 1");
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::classify::{
 };
 use crate::db::{TokenDb, UntrainError};
 use crate::options::FilterOptions;
-use crate::overlay::{CandidateDelta, OverlayDb};
 use sb_email::{Email, Label};
 use sb_intern::{par, AsIdSlice, Interner, TokenId};
 use sb_tokenizer::{Tokenizer, TokenizerOptions};
@@ -206,22 +205,6 @@ impl SpamBayes {
     /// harness, RONI validation sweeps, and epoch probes.
     pub fn classify_ids(&self, ids: &[TokenId]) -> Scored {
         score_token_ids(ids, &self.db, &self.opts)
-    }
-
-    /// A read-only overlay view of this filter's database with `delta`
-    /// applied — score "as if trained" without mutating anything (no
-    /// generation bump, no cache invalidation). Build the overlay once
-    /// and sweep many probes through [`SpamBayes::classify_ids_under`];
-    /// its memo shares each distinct token's score across the sweep.
-    pub fn overlay<'a>(&'a self, delta: &'a CandidateDelta) -> OverlayDb<'a> {
-        delta.over(&self.db)
-    }
-
-    /// Classify a pre-interned id set under a candidate overlay (see
-    /// [`SpamBayes::overlay`]): bit-identical to training the overlay's
-    /// candidate, classifying, and exactly untraining.
-    pub fn classify_ids_under(&self, ids: &[TokenId], overlay: &OverlayDb<'_>) -> Scored {
-        score_token_ids(ids, overlay, &self.opts)
     }
 
     /// Classify a batch of pre-interned id sets in parallel (scoped

@@ -16,29 +16,14 @@
 //! handle — by default the process-global table, so ids are exchangeable
 //! across independently-constructed filters.
 //!
-//! ## The generation-stamped score cache
+//! ## The generation-stamped score memo
 //!
-//! Classification needs `f(w)` (Eq. 2) plus `ln f(w)` / `ln(1 − f(w))`
-//! (Eq. 3–4) per probe token. All of these depend on the *global* counts
-//! `NS`/`NH`, so **any** train/untrain invalidates **every** cached
-//! score. Instead of clearing a table on each mutation (O(vocabulary),
-//! ruinous for RONI's train → validate → untrain inner loop), the
-//! database keeps a monotonically increasing `generation` counter,
-//! bumped by every mutation, and each cache slot carries the generation
-//! it was computed at:
-//!
-//! * read path (`&self`, lock-free): a slot whose stamp equals the
-//!   current generation is valid; otherwise the score is recomputed and
-//!   published with `Release` ordering (stamp written last), so
-//!   concurrent readers either see a complete entry or compute their own
-//!   identical copy — scores are pure functions of (counts, options), so
-//!   racing writers are benign;
-//! * write path (`&mut self`): bump `generation`; O(1) regardless of
-//!   vocabulary size. Stale slots die by stamp mismatch, not by erasure.
-//!
-//! Within one generation (e.g. RONI scoring 50 validation messages
-//! between a train and an untrain) every distinct token's score is
-//! computed once and shared by all messages and all threads.
+//! Every train/untrain bumps a monotonically increasing `generation`
+//! counter, and scores are memoized in a [`ScoreMemo`] stamped with it
+//! (see [`crate::memo`]): a mutation invalidates every memoized score in
+//! O(1), and within one generation (e.g. RONI scoring 50 validation
+//! messages between a train and an untrain) every distinct token's score
+//! is computed once and shared lock-free by all messages and threads.
 //!
 //! Two non-obvious requirements from the paper shape the API:
 //!
@@ -52,7 +37,9 @@
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::memo::ScoreMemo;
 use crate::options::FilterOptions;
+use crate::score::token_score_from_counts;
 use sb_email::Label;
 use sb_intern::{Interner, TokenId};
 
@@ -96,47 +83,67 @@ impl std::fmt::Display for UntrainError {
 
 impl std::error::Error for UntrainError {}
 
-/// Read-only access to per-token scores — the scoring substrate that
+/// Read-only per-token counts and scores — the scoring substrate that
 /// [`crate::classify::score_token_ids`] (and therefore
 /// `SpamBayes::classify_ids`) is generic over.
 ///
-/// Two implementations exist:
+/// Four implementations exist, all memoizing through the one
+/// [`ScoreMemo`]:
 ///
-/// * [`TokenDb`] — the trained counts, backed by the generation-stamped
-///   score cache;
+/// * [`TokenDb`] — the trained counts, memoized under its generation;
 /// * [`crate::overlay::OverlayDb`] — a borrowed base plus a candidate
 ///   delta (`counts + candidate, NS + 1`), used by the RONI defense to
-///   measure candidates without mutating (or invalidating) the base.
+///   measure candidates without mutating (or invalidating) the base;
+/// * `sb-serve`'s `MmapDb` — counts read in place from a packed model
+///   image, unmemoized (serving scores it through a memoized stack);
+/// * `sb-serve`'s `StackView` — a base plus additive tenant overlay
+///   layers, memoized under 1 + Σ layer generations.
 ///
-/// Implementations must be pure in their underlying counts: repeated
-/// lookups of the same id under the same options return bit-identical
-/// values.
+/// An implementation supplies the counts view; [`ScoreDb::score_f`] and
+/// [`ScoreDb::score_lns`] evaluate
+/// `token_score_from_counts(class_totals, counts_by_id)` and [`ln_pair`]
+/// over it, through the memo [`ScoreDb::memo_for`] names. Lookups must be
+/// pure in the underlying counts: repeated lookups of the same id under
+/// the same options return bit-identical values.
 pub trait ScoreDb {
     /// The interner ids resolve against (used for the deterministic
     /// string-order tie-breaks in δ(E) selection).
     fn interner(&self) -> &Interner;
 
+    /// Counts for a token id (zero if unseen).
+    fn counts_by_id(&self, id: TokenId) -> TokenCounts;
+
+    /// The `(NS, NH)` class totals entering Eq. 1 for every token.
+    fn class_totals(&self) -> (u32, u32);
+
+    /// The memo `id`'s score lives in, with the stamp entries must carry
+    /// to be valid for this view's counts; `None` scores unmemoized.
+    fn memo_for(&self, _id: TokenId) -> Option<(&ScoreMemo, u64)> {
+        None
+    }
+
     /// The smoothed token score `f(w)` (Eq. 2) under `opts`.
-    fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64;
+    #[inline]
+    fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
+        let compute = || {
+            let (n_spam, n_ham) = self.class_totals();
+            token_score_from_counts(n_spam, n_ham, self.counts_by_id(id), opts)
+        };
+        match self.memo_for(id) {
+            Some((memo, stamp)) => memo.f(id, stamp, compute),
+            None => compute(),
+        }
+    }
 
     /// The `(ln f, ln(1 − f))` pair for a token whose `f` is already
     /// known from [`ScoreDb::score_f`]. Called only for δ(E) survivors.
-    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64);
-}
-
-/// One cache slot: a generation stamp for `f(w)` and a separate stamp for
-/// the `ln` pair. The split matters: δ(E) selection needs `f` for *every*
-/// probe token, but Fisher combining needs `ln f` / `ln(1 − f)` only for
-/// the ≤ `max_discriminators` tokens that survive selection — most tokens
-/// sit in the excluded band and must never pay the two `ln` calls.
-/// Stamp 0 means "never filled"; generations start at 1.
-#[derive(Debug, Default)]
-struct ScoreSlot {
-    stamp_f: AtomicU64,
-    f: AtomicU64,
-    stamp_ln: AtomicU64,
-    ln_f: AtomicU64,
-    ln_1mf: AtomicU64,
+    #[inline]
+    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
+        match self.memo_for(id) {
+            Some((memo, stamp)) => memo.lns(id, stamp, f),
+            None => ln_pair(f),
+        }
+    }
 }
 
 /// A token's cached score triple.
@@ -169,7 +176,7 @@ pub struct TokenDb {
     generation: u64,
     /// Process-unique instance identity (see [`TokenDb::uid`]).
     uid: u64,
-    cache: Vec<ScoreSlot>,
+    memo: ScoreMemo,
 }
 
 /// Next value for [`TokenDb::uid`]; starts at 1 so 0 can mean "unbound".
@@ -193,8 +200,8 @@ impl Clone for TokenDb {
             // A clone is a distinct instance: same (uid, generation) must
             // never describe two databases whose counts can diverge.
             uid: NEXT_DB_UID.fetch_add(1, Ordering::Relaxed),
-            // Fresh, unfilled cache: stamps of 0 never match a generation.
-            cache: (0..self.counts.len()).map(|_| ScoreSlot::default()).collect(),
+            // Fresh, unfilled memo: stamps of 0 never match a generation.
+            memo: ScoreMemo::with_capacity(self.counts.len()),
         }
     }
 }
@@ -216,7 +223,7 @@ impl TokenDb {
             distinct: 0,
             generation: 1,
             uid: NEXT_DB_UID.fetch_add(1, Ordering::Relaxed),
-            cache: Vec::new(),
+            memo: ScoreMemo::new(),
         }
     }
 
@@ -351,7 +358,7 @@ impl TokenDb {
         let need = max_id.index() + 1;
         if self.counts.len() < need {
             self.counts.resize(need, TokenCounts::default());
-            self.cache.resize_with(need, ScoreSlot::default);
+            self.memo.ensure_capacity(need);
         }
     }
 
@@ -484,7 +491,7 @@ impl TokenDb {
         if self.interner.same_table(&other.interner) {
             if other.counts.len() > self.counts.len() {
                 self.counts.resize(other.counts.len(), TokenCounts::default());
-                self.cache.resize_with(other.counts.len(), ScoreSlot::default);
+                self.memo.ensure_capacity(other.counts.len());
             }
             for (i, c) in other.counts.iter().enumerate() {
                 if c.is_zero() {
@@ -511,60 +518,24 @@ impl TokenDb {
         }
     }
 
-    /// The cached `f(w)` of a token under `opts`, computing and publishing
-    /// it if this generation has not seen the token yet.
-    ///
-    /// Lock-free: concurrent readers may redundantly compute the same
-    /// value (scores are pure in the counts), never a wrong one. Unseen
-    /// tokens (no slot, or zero counts) short-circuit to the prior `x`.
+    /// The memoized `f(w)` of a token under `opts` ([`ScoreDb::score_f`]).
     #[inline]
     pub fn cached_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        let Some(slot) = self.cache.get(id.index()) else {
-            // Unseen token: prior score, no slot to publish to.
-            return opts.unknown_word_prob;
-        };
-        if slot.stamp_f.load(Ordering::Acquire) == self.generation {
-            return f64::from_bits(slot.f.load(Ordering::Relaxed));
-        }
-        let f = crate::score::token_score_from_counts(
-            self.n_spam,
-            self.n_ham,
-            self.counts_by_id(id),
-            opts,
-        );
-        slot.f.store(f.to_bits(), Ordering::Relaxed);
-        slot.stamp_f.store(self.generation, Ordering::Release);
-        f
+        self.score_f(id, opts)
     }
 
-    /// The cached `(ln f, ln(1 − f))` pair for a token whose `f` is
-    /// already known (from [`TokenDb::cached_f`]). Only δ(E) survivors
-    /// ever call this, so the two `ln`s are paid per *selected* distinct
-    /// token per generation, not per probe token.
+    /// The memoized `(ln f, ln(1 − f))` pair ([`ScoreDb::score_lns`]).
     #[inline]
     pub fn cached_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        let Some(slot) = self.cache.get(id.index()) else {
-            return ln_pair(f);
-        };
-        if slot.stamp_ln.load(Ordering::Acquire) == self.generation {
-            return (
-                f64::from_bits(slot.ln_f.load(Ordering::Relaxed)),
-                f64::from_bits(slot.ln_1mf.load(Ordering::Relaxed)),
-            );
-        }
-        let (ln_f, ln_1mf) = ln_pair(f);
-        slot.ln_f.store(ln_f.to_bits(), Ordering::Relaxed);
-        slot.ln_1mf.store(ln_1mf.to_bits(), Ordering::Relaxed);
-        slot.stamp_ln.store(self.generation, Ordering::Release);
-        (ln_f, ln_1mf)
+        self.score_lns(id, f)
     }
 
-    /// The full cached score triple (f + ln pair) — convenience for
-    /// diagnostics and tests; hot paths use [`TokenDb::cached_f`] +
-    /// [`TokenDb::cached_lns`] so unselected tokens skip the `ln`s.
+    /// The full memoized score triple (f + ln pair) — convenience for
+    /// diagnostics and tests; hot paths use [`ScoreDb::score_f`] +
+    /// [`ScoreDb::score_lns`] so unselected tokens skip the `ln`s.
     pub fn cached_score(&self, id: TokenId, opts: &FilterOptions) -> CachedScore {
-        let f = self.cached_f(id, opts);
-        let (ln_f, ln_1mf) = self.cached_lns(id, f);
+        let f = self.score_f(id, opts);
+        let (ln_f, ln_1mf) = self.score_lns(id, f);
         CachedScore { f, ln_f, ln_1mf }
     }
 }
@@ -574,22 +545,27 @@ impl ScoreDb for TokenDb {
         TokenDb::interner(self)
     }
 
-    fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        self.cached_f(id, opts)
+    #[inline]
+    fn counts_by_id(&self, id: TokenId) -> TokenCounts {
+        TokenDb::counts_by_id(self, id)
     }
 
-    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        self.cached_lns(id, f)
+    #[inline]
+    fn class_totals(&self) -> (u32, u32) {
+        (self.n_spam, self.n_ham)
+    }
+
+    #[inline]
+    fn memo_for(&self, _id: TokenId) -> Option<(&ScoreMemo, u64)> {
+        Some((&self.memo, self.generation))
     }
 }
 
 /// The `ln` pair of a token score, applying the same clamp Fisher
-/// combining uses so cached values are bit-identical to the legacy
-/// `fisher_score` path (and to the overlay path, which shares this
-/// function). Public because every external [`ScoreDb`] implementation
-/// (e.g. `sb-serve`'s mmap-backed base and tenant overlay stacks) must
-/// use this exact clamp to keep its verdicts bit-identical to a
-/// [`TokenDb`] trained with the same mail.
+/// combining uses so memoized values are bit-identical to the legacy
+/// `fisher_score` path. Every [`ScoreDb`] reaches it through
+/// [`ScoreDb::score_lns`] (memoized or not), which is what keeps their
+/// verdicts bit-identical to a [`TokenDb`] trained with the same mail.
 #[inline]
 pub fn ln_pair(f: f64) -> (f64, f64) {
     let fc = f.clamp(1e-12, 1.0 - 1e-12);

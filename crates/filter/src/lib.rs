@@ -26,14 +26,19 @@
 //!   strength, then token string), so classification never depends on hash
 //!   iteration order *or interning order*.
 //! * **Interned substrate** — [`TokenDb`] is keyed by `sb_intern::TokenId`
-//!   (dense `Vec<TokenCounts>`) with a generation-stamped `f(w)`/`ln`
-//!   score cache; the string APIs are thin interning wrappers, and the
-//!   ID paths ([`SpamBayes::classify_ids`], [`SpamBayes::classify_ids_batch`])
-//!   are property-tested bit-identical to the legacy string scoring.
-//! * **Overlay scoring** — ID scoring is generic over [`ScoreDb`]; an
-//!   [`OverlayDb`] lays a candidate's [`CandidateDelta`] over a borrowed
-//!   database to score "as if trained" without mutating it, which is what
-//!   makes RONI candidate measurement invalidation-free (see [`overlay`]).
+//!   (dense `Vec<TokenCounts>`); the string APIs are thin interning
+//!   wrappers, and the ID paths ([`SpamBayes::classify_ids`],
+//!   [`SpamBayes::classify_ids_batch`]) are property-tested bit-identical
+//!   to the legacy string scoring.
+//! * **One counts view, one memo** — ID scoring is generic over
+//!   [`ScoreDb`]: an implementation supplies per-id counts and class
+//!   totals, and the trait's provided `score_f`/`score_lns` evaluate
+//!   Eq. 2 and the `ln` pair through a lock-free, stamp-validated
+//!   [`ScoreMemo`] (see [`memo`]) — the only score memo in the workspace.
+//! * **Overlay scoring** — an [`OverlayDb`] lays a candidate's
+//!   [`CandidateDelta`] over a borrowed database to score "as if trained"
+//!   without mutating it, which is what makes RONI candidate measurement
+//!   invalidation-free (see [`overlay`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +47,7 @@ pub mod classify;
 pub mod classifier;
 pub mod db;
 pub mod image;
+pub mod memo;
 pub mod options;
 pub mod overlay;
 pub mod persist;
@@ -54,6 +60,7 @@ pub use classify::{
 pub use classifier::SpamBayes;
 pub use db::{ln_pair, CachedScore, ScoreDb, TokenCounts, TokenDb, UntrainError};
 pub use image::{ImageError, ImageView};
+pub use memo::ScoreMemo;
 pub use options::FilterOptions;
 pub use overlay::{CandidateDelta, OverlayDb, OverlayScratch};
 pub use persist::{load_db, load_db_into, save_db, PersistError};

@@ -13,12 +13,12 @@
 //! `&TokenDb` plus a small delta — the candidate's token counts and the
 //! shifted per-class totals (`NS + 1` for the spam-labeled candidates RONI
 //! measures). Count lookups consult the delta first and fall through to the
-//! base counts; the base's generation-stamped score cache is never touched,
-//! so the base filter stays warm across an arbitrarily long screening
-//! sweep. Scores are memoized per overlay (validation messages share
-//! vocabulary heavily): standalone overlays carry a small hash-map memo,
-//! and screening loops pass a reusable dense [`OverlayScratch`] so
-//! steady-state measurement performs no allocation at all.
+//! base counts; the base's generation is never bumped, so its score memo
+//! stays warm across an arbitrarily long screening sweep. Screening loops
+//! memoize overlay scores (validation messages share vocabulary heavily)
+//! in a reusable [`OverlayScratch`] — two [`ScoreMemo`]s, so steady-state
+//! measurement performs no allocation at all; a standalone
+//! [`CandidateDelta::over`] scores unmemoized.
 //!
 //! ## Exactness
 //!
@@ -29,25 +29,25 @@
 //! the same `ln` clamp. Note the per-class totals enter Equation 1, so a
 //! candidate shifts *every* token's score, not only its own tokens' — the
 //! overlay therefore recomputes (and memoizes) scores for all probed
-//! tokens rather than serving the base's cached values, which were
-//! computed at the unshifted totals. The base cache still matters: it is
+//! tokens rather than serving the base's memoized values, which were
+//! computed at the unshifted totals. The base memo still matters: it is
 //! left valid, so baseline sweeps and non-overlay classification between
-//! candidates pay nothing.
+//! candidates pay nothing, and an overlay that shifts no total reads its
+//! non-candidate tokens straight through it.
 //!
 //! ## Sharing across trial threads
 //!
 //! A [`CandidateDelta`] is immutable and `Sync`: build it once per
 //! candidate and lend it to every parallel RONI trial, each of which lays
-//! its own [`OverlayDb`] (one memo per trial — trials have different
+//! its own [`OverlayDb`] (one scratch per trial — trials have different
 //! training sets, hence different scores) over its own base.
 
-use std::cell::RefCell;
-
-use crate::db::{ln_pair, ScoreDb, TokenCounts, TokenDb};
+use crate::db::{ScoreDb, TokenCounts, TokenDb};
+use crate::memo::ScoreMemo;
 use crate::options::FilterOptions;
 use crate::score::token_score_from_counts;
 use sb_email::Label;
-use sb_intern::{FxHashMap, Interner, TokenId};
+use sb_intern::{Interner, TokenId};
 
 /// The training-set delta a candidate message would contribute: its token
 /// set plus the per-class message-count shift. Immutable and `Sync` —
@@ -149,61 +149,30 @@ impl CandidateDelta {
         (self.d_spam, self.d_ham)
     }
 
-    /// The counts this delta adds for `id`, if the token is in the
-    /// candidate set.
-    #[inline]
-    fn added(&self, id: TokenId) -> Option<TokenCounts> {
-        if self.contains(id) {
-            Some(self.add)
-        } else {
-            None
-        }
-    }
-
-    /// Lay this delta over a base database, producing a read-only scoring
-    /// view (see [`OverlayDb`]) with a self-contained hash-map memo.
+    /// Lay this delta over a base database, producing an unmemoized
+    /// read-only scoring view (see [`OverlayDb`]).
     pub fn over<'a>(&'a self, base: &'a TokenDb) -> OverlayDb<'a> {
         OverlayDb::new(base, self)
     }
 
-    /// Like [`CandidateDelta::over`], but memoizing non-candidate
-    /// tokens into a reusable dense [`OverlayScratch`] — the
-    /// screening-loop fast path; see [`OverlayDb::with_scratch`] for the
-    /// cross-candidate reuse this enables.
+    /// Like [`CandidateDelta::over`], but memoizing into a reusable
+    /// [`OverlayScratch`] — the screening-loop fast path; see
+    /// [`OverlayDb::with_scratch`] for the cross-candidate reuse this
+    /// enables.
     pub fn over_with<'a>(
         &'a self,
         base: &'a TokenDb,
-        scratch: &'a RefCell<OverlayScratch>,
+        scratch: &'a mut OverlayScratch,
     ) -> OverlayDb<'a> {
         OverlayDb::with_scratch(base, self, scratch)
     }
 }
 
-/// One memoized score: `f` always, the `ln` pair lazily (most probed
-/// tokens never survive δ(E) selection and must not pay the two `ln`s).
-#[derive(Debug, Clone, Copy)]
-struct OverlaySlot {
-    f: f64,
-    lns: Option<(f64, f64)>,
-}
-
-/// One dense scratch slot (see [`OverlayScratch`]): stamps play the role
-/// the base cache's generation stamps play, with the scratch epoch as the
-/// generation. Stamp 0 is "never filled"; epochs start at 1.
-#[derive(Debug, Clone, Copy, Default)]
-struct ScratchSlot {
-    stamp_f: u64,
-    f: f64,
-    stamp_ln: u64,
-    ln_f: f64,
-    ln_1mf: f64,
-}
-
-/// What an [`OverlayScratch`]'s slots are valid for: an exact base counts
-/// state (`TokenDb::uid` + generation — clones get fresh uids, so the
-/// pair pins the counts) and the per-class total shift. Every overlay
+/// What an [`OverlayScratch`]'s stable memo is valid for: an exact base
+/// counts state (`TokenDb::uid` + generation — clones get fresh uids, so
+/// the pair pins the counts) and the per-class total shift. Every overlay
 /// whose binding matches sees the *same* score for every non-candidate
-/// token, which is what lets slots survive across candidates.
+/// token, which is what lets stable entries survive across candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ScratchBinding {
     db_uid: u64,
@@ -212,104 +181,76 @@ struct ScratchBinding {
     d_ham: u32,
 }
 
-/// A reusable dense score memo for overlay sweeps.
+/// A reusable pair of score memos for overlay sweeps.
 ///
-/// The hash-map memo inside a standalone [`OverlayDb`] is fine for one
-/// candidate, but a screening loop probes the same validation vocabulary
-/// for every candidate, and a hash lookup per probe token is measurably
-/// slower than the base cache's indexed `Vec`. An `OverlayScratch` is the
-/// dense equivalent: slots indexed by `TokenId`, stamped with an epoch.
+/// A screening loop probes the same validation vocabulary for every
+/// candidate. The decisive property is **cross-candidate reuse**: a
+/// non-candidate token's overlay score depends only on the base counts
+/// and the per-class total shift — not on *which* candidate is measured —
+/// so when consecutive overlays share a `ScratchBinding` the stable
+/// epoch is kept and their sweeps hit the already-filled `stable`
+/// entries. A binding mismatch (different base, a mutated base, a
+/// different shift) invalidates them in O(1) by bumping the epoch.
+/// Candidate-member scores vary per candidate, so they live in the
+/// separate `members` memo, whose epoch bumps on every claim: they can
+/// never leak into the stable entries, and the allocation is reused
+/// across the whole screening loop. Train/untrain measurement
+/// structurally cannot do this: every candidate bumps the base
+/// generation and recomputes the whole validation vocabulary.
 ///
-/// The decisive property is **cross-candidate reuse**: a non-candidate
-/// token's overlay score depends only on the base counts and the
-/// per-class total shift — not on *which* candidate is measured — so
-/// when consecutive overlays share a [`ScratchBinding`] the epoch is kept
-/// and their sweeps hit the already-filled slots. (Candidate-member
-/// tokens never enter the scratch; see [`OverlayDb`].) Train/untrain
-/// measurement structurally cannot do this: every candidate bumps the
-/// base generation and recomputes the whole validation vocabulary.
-/// A binding mismatch (different base, a mutated base, a different
-/// shift) invalidates every slot in O(1) by bumping the epoch.
-///
-/// Like the base cache, scratch slots assume one `FilterOptions` per
-/// (base, generation) — the classification APIs guarantee that, and
-/// `SpamBayes::set_options` bumps the generation.
+/// Capacity is set by [`OverlayScratch::ensure_capacity`] (ids beyond it
+/// score unmemoized). Like the base memo, the scratch assumes one
+/// `FilterOptions` per (base, generation) — the classification APIs
+/// guarantee that, and `SpamBayes::set_options` bumps the generation.
 #[derive(Debug, Default)]
 pub struct OverlayScratch {
-    /// Epoch of the binding-stable slots (non-candidate tokens).
-    epoch: u64,
     binding: Option<ScratchBinding>,
-    slots: Vec<ScratchSlot>,
-    /// Epoch of the per-overlay member slots: candidate-member scores
-    /// vary per candidate, so these are invalidated on every claim —
-    /// but they stay *dense* (no hashing), and their allocation is
-    /// reused across the whole screening loop.
+    /// Epoch of the binding-stable entries (non-candidate tokens).
+    epoch: u64,
+    stable: ScoreMemo,
+    /// Epoch of the per-overlay candidate-member entries.
     member_epoch: u64,
-    member_slots: Vec<ScratchSlot>,
+    members: ScoreMemo,
 }
 
 impl OverlayScratch {
-    /// A fresh scratch (slots grow lazily to the highest probed id).
+    /// A fresh scratch with no capacity (see
+    /// [`OverlayScratch::ensure_capacity`]).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Grow both memos to cover ids `0..capacity` (never shrinks) —
+    /// size it to the highest id a sweep probes, plus one.
+    pub fn ensure_capacity(&mut self, capacity: usize) {
+        self.stable.ensure_capacity(capacity);
+        self.members.ensure_capacity(capacity);
+    }
+
+    /// Number of ids each memo can hold.
+    pub fn capacity(&self) -> usize {
+        self.stable.capacity()
+    }
+
     /// Claim the scratch for an overlay with `binding`: keep the stable
-    /// epoch (and every filled slot) when the binding is unchanged,
-    /// otherwise invalidate the stable slots in O(1). Member slots are
-    /// always invalidated. Returns `(stable_epoch, member_epoch)`.
-    fn claim(&mut self, binding: ScratchBinding) -> (u64, u64) {
+    /// epoch (and every filled entry) when the binding is unchanged,
+    /// otherwise invalidate the stable entries in O(1). Member entries
+    /// are always invalidated.
+    fn claim(&mut self, binding: ScratchBinding) {
         if self.binding != Some(binding) {
             self.binding = Some(binding);
             self.epoch += 1;
         }
         self.member_epoch += 1;
-        (self.epoch, self.member_epoch)
     }
-
-    #[inline]
-    fn slot_mut(&mut self, id: TokenId) -> &mut ScratchSlot {
-        let need = id.index() + 1;
-        if self.slots.len() < need {
-            self.slots.resize(need, ScratchSlot::default());
-        }
-        &mut self.slots[id.index()]
-    }
-
-    #[inline]
-    fn member_slot_mut(&mut self, id: TokenId) -> &mut ScratchSlot {
-        let need = id.index() + 1;
-        if self.member_slots.len() < need {
-            self.member_slots.resize(need, ScratchSlot::default());
-        }
-        &mut self.member_slots[id.index()]
-    }
-}
-
-/// The memo backing an overlay: a self-contained hash map for one-off
-/// overlays, or a caller-owned dense [`OverlayScratch`] for screening
-/// loops. In scratch mode, candidate-member tokens — whose scores *do*
-/// vary per candidate — live in the scratch's separate per-overlay
-/// member slots, so they can never leak into the cross-candidate stable
-/// slots.
-#[derive(Debug)]
-enum Memo<'a> {
-    Map(RefCell<FxHashMap<TokenId, OverlaySlot>>),
-    Scratch {
-        scratch: &'a RefCell<OverlayScratch>,
-        epoch: u64,
-        member_epoch: u64,
-    },
 }
 
 /// A read-only scoring view: a borrowed base [`TokenDb`] with a
 /// [`CandidateDelta`] applied on top (see module docs).
 ///
 /// Implements [`ScoreDb`], so it plugs directly into
-/// [`crate::classify::score_token_ids`] and friends. Not `Sync` (the memo
-/// uses a `RefCell`); parallel trials each build their own overlay over a
-/// shared delta, which is cheap — the memo starts empty (or
-/// epoch-invalidated, for the scratch form).
+/// [`crate::classify::score_token_ids`] and friends. Parallel trials each
+/// build their own overlay over a shared delta, which is cheap.
 #[derive(Debug)]
 pub struct OverlayDb<'a> {
     base: &'a TokenDb,
@@ -319,59 +260,45 @@ pub struct OverlayDb<'a> {
     n_spam: u32,
     n_ham: u32,
     /// True when the delta shifts no per-class total — then non-delta
-    /// tokens score exactly as in the base and lookups fall through to
-    /// (and warm) the base's generation-stamped cache.
+    /// tokens score exactly as in the base and read through (and warm)
+    /// the base's memo.
     totals_unchanged: bool,
-    memo: Memo<'a>,
+    scratch: Option<&'a OverlayScratch>,
 }
 
 impl<'a> OverlayDb<'a> {
-    /// Lay `delta` over `base` with a self-contained hash-map memo.
+    /// Lay `delta` over `base`, unmemoized.
     pub fn new(base: &'a TokenDb, delta: &'a CandidateDelta) -> Self {
-        Self::build(base, delta, Memo::Map(RefCell::new(FxHashMap::default())))
-    }
-
-    /// Lay `delta` over `base`, memoizing non-candidate tokens into
-    /// `scratch`. The scratch is claimed under this overlay's
-    /// [`ScratchBinding`]: if the previous overlay had the same base
-    /// (same counts state) and the same per-class shift, its filled
-    /// slots stay valid and this overlay's sweep hits them.
-    pub fn with_scratch(
-        base: &'a TokenDb,
-        delta: &'a CandidateDelta,
-        scratch: &'a RefCell<OverlayScratch>,
-    ) -> Self {
-        let (epoch, member_epoch) = scratch.borrow_mut().claim(ScratchBinding {
-            db_uid: base.uid(),
-            generation: base.generation(),
-            d_spam: delta.d_spam,
-            d_ham: delta.d_ham,
-        });
-        Self::build(
-            base,
-            delta,
-            Memo::Scratch {
-                scratch,
-                epoch,
-                member_epoch,
-            },
-        )
-    }
-
-    fn build(base: &'a TokenDb, delta: &'a CandidateDelta, memo: Memo<'a>) -> Self {
         Self {
             base,
             delta,
             n_spam: base.n_spam() + delta.d_spam,
             n_ham: base.n_ham() + delta.d_ham,
             totals_unchanged: delta.d_spam == 0 && delta.d_ham == 0,
-            memo,
+            scratch: None,
         }
     }
 
-    /// The base database the overlay falls through to.
-    pub fn base(&self) -> &TokenDb {
-        self.base
+    /// Lay `delta` over `base`, memoizing into `scratch`. The scratch is
+    /// claimed under this overlay's `ScratchBinding`: if the previous
+    /// overlay had the same base (same counts state) and the same
+    /// per-class shift, its filled stable entries stay valid and this
+    /// overlay's sweep hits them.
+    pub fn with_scratch(
+        base: &'a TokenDb,
+        delta: &'a CandidateDelta,
+        scratch: &'a mut OverlayScratch,
+    ) -> Self {
+        scratch.claim(ScratchBinding {
+            db_uid: base.uid(),
+            generation: base.generation(),
+            d_spam: delta.d_spam,
+            d_ham: delta.d_ham,
+        });
+        Self {
+            scratch: Some(scratch),
+            ..Self::new(base, delta)
+        }
     }
 
     /// Effective `NS` (base plus delta).
@@ -384,95 +311,6 @@ impl<'a> OverlayDb<'a> {
         self.n_ham
     }
 
-    /// Effective counts for a token: delta first, then the base.
-    pub fn counts_by_id(&self, id: TokenId) -> TokenCounts {
-        let base = self.base.counts_by_id(id);
-        match self.delta.added(id) {
-            Some(d) => TokenCounts {
-                spam: base.spam + d.spam,
-                ham: base.ham + d.ham,
-            },
-            None => base,
-        }
-    }
-}
-
-impl ScoreDb for OverlayDb<'_> {
-    fn interner(&self) -> &Interner {
-        self.base.interner()
-    }
-
-    fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        if self.totals_unchanged && !self.delta.contains(id) {
-            // Totals unshifted and no count delta: the base's cached score
-            // is exactly this overlay's score — fall through (and publish
-            // into the untouched base cache).
-            return self.base.cached_f(id, opts);
-        }
-        match &self.memo {
-            Memo::Scratch {
-                scratch,
-                epoch,
-                member_epoch,
-            } => {
-                let mut scratch = scratch.borrow_mut();
-                // Candidate-dependent scores live in their own dense
-                // slots (invalidated per overlay) so they can never leak
-                // into the cross-candidate stable slots.
-                let (slot, stamp) = if self.delta.contains(id) {
-                    (scratch.member_slot_mut(id), *member_epoch)
-                } else {
-                    (scratch.slot_mut(id), *epoch)
-                };
-                if slot.stamp_f == stamp {
-                    return slot.f;
-                }
-                let f = self.compute_f(id, opts);
-                slot.f = f;
-                slot.stamp_f = stamp;
-                f
-            }
-            Memo::Map(map) => map_f(map, id, || self.compute_f(id, opts)),
-        }
-    }
-
-    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        if self.totals_unchanged && !self.delta.contains(id) {
-            return self.base.cached_lns(id, f);
-        }
-        match &self.memo {
-            Memo::Scratch {
-                scratch,
-                epoch,
-                member_epoch,
-            } => {
-                let mut scratch = scratch.borrow_mut();
-                let (slot, stamp) = if self.delta.contains(id) {
-                    (scratch.member_slot_mut(id), *member_epoch)
-                } else {
-                    (scratch.slot_mut(id), *epoch)
-                };
-                if slot.stamp_ln == stamp {
-                    return (slot.ln_f, slot.ln_1mf);
-                }
-                let (ln_f, ln_1mf) = ln_pair(f);
-                slot.ln_f = ln_f;
-                slot.ln_1mf = ln_1mf;
-                slot.stamp_ln = stamp;
-                (ln_f, ln_1mf)
-            }
-            Memo::Map(map) => map_lns(map, id, f),
-        }
-    }
-}
-
-impl OverlayDb<'_> {
-    /// The overlay score of `id`, uncached.
-    #[inline]
-    fn compute_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), opts)
-    }
-
     /// The **pure-shift** score of `id`: per-class totals shifted, but
     /// the candidate's own counts ignored — i.e. the score any
     /// *non-candidate* token gets, evaluated for an arbitrary token.
@@ -482,62 +320,61 @@ impl OverlayDb<'_> {
     /// candidate score and this pure-shift score selects exactly the
     /// same δ(E) as a candidate-free (shift-only) classification, so its
     /// cached verdict can be reused. Candidate-independent, hence
-    /// memoized in the cross-candidate stable slots when a scratch backs
+    /// memoized in the scratch's stable entries when a scratch backs
     /// this overlay.
     pub fn shift_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
         let compute = || {
             token_score_from_counts(self.n_spam, self.n_ham, self.base.counts_by_id(id), opts)
         };
-        match &self.memo {
-            Memo::Scratch { scratch, epoch, .. } => {
-                let mut scratch = scratch.borrow_mut();
-                let slot = scratch.slot_mut(id);
-                if slot.stamp_f == *epoch {
-                    return slot.f;
-                }
-                let f = compute();
-                slot.f = f;
-                slot.stamp_f = *epoch;
-                f
-            }
-            // Map-backed overlays have no candidate-independent store;
-            // this is an off-hot-path query there, so compute directly.
-            Memo::Map(_) => compute(),
+        match self.scratch {
+            Some(s) => s.stable.f(id, s.epoch, compute),
+            None => compute(),
         }
     }
 }
 
-/// Memoized `f` lookup in a hash-map memo.
-fn map_f(
-    map: &RefCell<FxHashMap<TokenId, OverlaySlot>>,
-    id: TokenId,
-    compute: impl FnOnce() -> f64,
-) -> f64 {
-    if let Some(slot) = map.borrow().get(&id) {
-        return slot.f;
+impl ScoreDb for OverlayDb<'_> {
+    fn interner(&self) -> &Interner {
+        self.base.interner()
     }
-    let f = compute();
-    map.borrow_mut().insert(id, OverlaySlot { f, lns: None });
-    f
-}
 
-/// Memoized `ln` pair lookup in a hash-map memo.
-fn map_lns(map: &RefCell<FxHashMap<TokenId, OverlaySlot>>, id: TokenId, f: f64) -> (f64, f64) {
-    let mut memo = map.borrow_mut();
-    match memo.get_mut(&id) {
-        Some(slot) => match slot.lns {
-            Some(lns) => lns,
-            None => {
-                let lns = ln_pair(f);
-                slot.lns = Some(lns);
-                lns
+    /// Effective counts for a token: the base plus the delta's uniform
+    /// addition when the token is a candidate member.
+    #[inline]
+    fn counts_by_id(&self, id: TokenId) -> TokenCounts {
+        let base = self.base.counts_by_id(id);
+        if self.delta.contains(id) {
+            TokenCounts {
+                spam: base.spam + self.delta.add.spam,
+                ham: base.ham + self.delta.add.ham,
             }
-        },
-        None => {
-            let lns = ln_pair(f);
-            memo.insert(id, OverlaySlot { f, lns: Some(lns) });
-            lns
+        } else {
+            base
         }
+    }
+
+    #[inline]
+    fn class_totals(&self) -> (u32, u32) {
+        (self.n_spam, self.n_ham)
+    }
+
+    /// Routes `id` to the memo its score may live in: candidate members
+    /// to the scratch's per-overlay member entries, other tokens to its
+    /// cross-candidate stable entries — or, when the delta shifts no
+    /// total, straight to the base's own memo, whose score is exactly
+    /// this overlay's.
+    #[inline]
+    fn memo_for(&self, id: TokenId) -> Option<(&ScoreMemo, u64)> {
+        let member = self.delta.contains(id);
+        if self.totals_unchanged && !member {
+            return self.base.memo_for(id);
+        }
+        let s = self.scratch?;
+        Some(if member {
+            (&s.members, s.member_epoch)
+        } else {
+            (&s.stable, s.epoch)
+        })
     }
 }
 
@@ -578,7 +415,6 @@ mod tests {
             .iter()
             .map(|&id| overlay.score_f(id, &opts).to_bits())
             .collect();
-        drop(overlay);
 
         db.train_ids(&candidate, Label::Spam);
         let via_train = score_token_ids(&probe, &db, &opts);
@@ -659,7 +495,7 @@ mod tests {
         let f = overlay.score_f(fresh, &opts);
         // One spam sighting out of NS+1 spam: leans spam, shrunk by Eq. 2.
         assert!(f > 0.5, "fresh candidate token must lean spam: {f}");
-        // Memoized: identical on re-read.
+        // Pure in the counts: identical on re-read.
         assert_eq!(f.to_bits(), overlay.score_f(fresh, &opts).to_bits());
     }
 }

@@ -186,9 +186,8 @@ proptest! {
 
         let delta = CandidateDelta::new(&cand_ids, label, multiplicity);
         let gen_before = filter.db().generation();
-        let overlay = filter.overlay(&delta);
-        let via_overlay = filter.classify_ids_under(&probe_ids, &overlay);
-        drop(overlay);
+        let via_overlay =
+            classify::score_token_ids(&probe_ids, &delta.over(filter.db()), filter.options());
         prop_assert_eq!(filter.db().generation(), gen_before, "overlay mutated the base");
 
         filter.train_ids(&cand_ids, label, multiplicity);

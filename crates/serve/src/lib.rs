@@ -7,14 +7,15 @@
 //!
 //! * [`mmap`] / [`model`] — load a packed model image
 //!   (`sb_filter::image`) by `mmap` (read-to-`Vec` fallback) and serve it
-//!   through [`MmapDb`], an `ScoreDb` implementation whose count lookups
-//!   are offset reads into the mapped bytes. All existing scoring and
-//!   RONI code works against it unchanged.
+//!   through [`MmapDb`], a memo-free `ScoreDb` implementation whose
+//!   count lookups are offset reads into the mapped bytes. All existing
+//!   scoring and RONI code works against it unchanged.
 //! * [`tenant`] — overlay *stacks*: an ordered list of
 //!   [`OverlayLayer`] deltas (org patch over base, user delta over that)
-//!   combined read-only by [`StackView`], plus a [`SyncMemo`] of
-//!   generation-stamped score slots so one tenant's overlay serves many
-//!   concurrent probe threads.
+//!   combined read-only by [`StackView`], memoized in one
+//!   `sb_filter::ScoreMemo` per tenant stamped with the stack's combined
+//!   generation, so one tenant's overlay serves many concurrent probe
+//!   threads.
 //! * [`registry`] — [`TenantRegistry`]: `TenantId → overlay stack`
 //!   bookkeeping with per-tenant train/untrain (mutating only the top
 //!   delta) and batch classification.
@@ -55,9 +56,9 @@ pub mod tenant;
 
 pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport};
 pub use mmap::ImageBytes;
-pub use model::{BaseModel, MmapDb};
-pub use registry::{Tenant, TenantId, TenantRegistry};
-pub use tenant::{OverlayLayer, StackView, SyncMemo};
+pub use model::MmapDb;
+pub use registry::{TenantId, TenantRegistry};
+pub use tenant::{OverlayLayer, StackView};
 
 use sb_filter::ImageError;
 

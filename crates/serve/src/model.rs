@@ -7,71 +7,20 @@
 //! The only materialized state is the serving [`Interner`] — built once
 //! at load by interning the arena strings in row order, so that
 //! **image row `i` ⇔ `TokenId(i)`** and ids can index the counts array
-//! directly — and a score cache.
+//! directly.
 //!
-//! The cache is the immutable-base degenerate case of `TokenDb`'s
-//! generation-stamped slots: a base model never mutates, so a slot's
-//! stamp is simply *filled / not filled* (stamp 0 = empty, 1 = filled,
-//! `Release`-published after the value like the original). Scores are
-//! pure in (counts, options), so racing fills are benign duplicates.
-//!
-//! `FilterOptions` are fixed at construction for the same reason
-//! `TokenDb` invalidates on `set_options`: cached `f(w)` values bake the
-//! options in. Serving a different configuration means opening another
-//! `MmapDb` (cheap — the kernel shares the mapped pages).
+//! An `MmapDb` keeps no score memo of its own: serving always scores it
+//! through a tenant [`crate::StackView`], whose memo covers the base's
+//! tokens too, so a per-row memo here would be allocated at every open
+//! and never read. Scored directly, it computes each score from the
+//! mapped counts.
 
 use crate::mmap::ImageBytes;
 use crate::ServeError;
 use sb_filter::image::{ImageView, HEADER_LEN};
-use sb_filter::score::token_score_from_counts;
-use sb_filter::{ln_pair, FilterOptions, ScoreDb, TokenCounts, TokenDb};
+use sb_filter::{FilterOptions, ScoreDb, TokenCounts};
 use sb_intern::{Interner, TokenId};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// What a tenant overlay stacks on: any read-only source of per-id
-/// counts and class totals sharing an [`Interner`].
-///
-/// Implementations must be **immutable while served** — `StackView`
-/// memo slots and `MmapDb` cache slots are stamped once and trusted for
-/// the base's lifetime, so a mutating base would serve stale scores.
-/// The two implementations hold the invariant structurally: [`MmapDb`]
-/// has no mutating API at all, and a [`TokenDb`] base is owned by an
-/// `Arc` the registry never hands out mutably.
-pub trait BaseModel: ScoreDb + Send + Sync {
-    /// Counts for a token id (zero if unseen).
-    fn base_counts(&self, id: TokenId) -> TokenCounts;
-
-    /// `NS`: spam messages trained into the base.
-    fn base_n_spam(&self) -> u32;
-
-    /// `NH`: ham messages trained into the base.
-    fn base_n_ham(&self) -> u32;
-}
-
-impl BaseModel for TokenDb {
-    fn base_counts(&self, id: TokenId) -> TokenCounts {
-        self.counts_by_id(id)
-    }
-
-    fn base_n_spam(&self) -> u32 {
-        self.n_spam()
-    }
-
-    fn base_n_ham(&self) -> u32 {
-        self.n_ham()
-    }
-}
-
-/// One score-cache slot (see module docs; stamp 1 = filled).
-#[derive(Default)]
-struct Slot {
-    stamp_f: AtomicU64,
-    f: AtomicU64,
-    stamp_ln: AtomicU64,
-    ln_f: AtomicU64,
-    ln_1mf: AtomicU64,
-}
 
 /// A packed model image served in place (see module docs).
 pub struct MmapDb {
@@ -81,7 +30,6 @@ pub struct MmapDb {
     n_spam: u32,
     n_ham: u32,
     n_tokens: usize,
-    cache: Vec<Slot>,
 }
 
 impl std::fmt::Debug for MmapDb {
@@ -119,7 +67,6 @@ impl MmapDb {
         }
         let n_tokens = view.n_tokens();
         let (n_spam, n_ham) = (view.n_spam(), view.n_ham());
-        let cache = (0..n_tokens).map(|_| Slot::default()).collect();
         Ok(Self {
             bytes,
             interner,
@@ -127,7 +74,6 @@ impl MmapDb {
             n_spam,
             n_ham,
             n_tokens,
-            cache,
         })
     }
 
@@ -137,7 +83,7 @@ impl MmapDb {
         &self.interner
     }
 
-    /// The options the cache was built for.
+    /// The options the model was opened to be served under.
     pub fn options(&self) -> &FilterOptions {
         &self.opts
     }
@@ -162,71 +108,6 @@ impl MmapDb {
     pub fn is_mapped(&self) -> bool {
         self.bytes.is_mapped()
     }
-
-    /// Image size in bytes.
-    pub fn image_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Counts for a token id: an offset read into the image. Ids at or
-    /// beyond `n_tokens` (interned after load, or from another source)
-    /// are unseen — zero counts, like `TokenDb`.
-    #[inline]
-    pub fn counts_by_id(&self, id: TokenId) -> TokenCounts {
-        let i = id.index();
-        if i >= self.n_tokens {
-            return TokenCounts::default();
-        }
-        let bytes = self.bytes.as_slice();
-        let off = HEADER_LEN + 8 * i;
-        let mut spam = [0u8; 4];
-        let mut ham = [0u8; 4];
-        // sb-lint: allow(panic-path, "i < n_tokens was checked above, and parse proved HEADER_LEN + 8·n_tokens <= len")
-        spam.copy_from_slice(&bytes[off..off + 4]);
-        // sb-lint: allow(panic-path, "i < n_tokens was checked above, and parse proved HEADER_LEN + 8·n_tokens <= len")
-        ham.copy_from_slice(&bytes[off + 4..off + 8]);
-        TokenCounts {
-            spam: u32::from_le_bytes(spam),
-            ham: u32::from_le_bytes(ham),
-        }
-    }
-
-    /// The cached `f(w)` (Eq. 2) of a token under the fixed options —
-    /// lock-free, fill-once (the base is immutable; see module docs).
-    #[inline]
-    pub fn cached_f(&self, id: TokenId) -> f64 {
-        let Some(slot) = self.cache.get(id.index()) else {
-            // Unseen token: zero counts make Eq. 2 collapse to the prior
-            // x, exactly as `token_score_from_counts` would compute.
-            return self.opts.unknown_word_prob;
-        };
-        if slot.stamp_f.load(Ordering::Acquire) == 1 {
-            return f64::from_bits(slot.f.load(Ordering::Relaxed));
-        }
-        let f = token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), &self.opts);
-        slot.f.store(f.to_bits(), Ordering::Relaxed);
-        slot.stamp_f.store(1, Ordering::Release);
-        f
-    }
-
-    /// The cached `(ln f, ln(1 − f))` pair (same fill-once discipline).
-    #[inline]
-    pub fn cached_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        let Some(slot) = self.cache.get(id.index()) else {
-            return ln_pair(f);
-        };
-        if slot.stamp_ln.load(Ordering::Acquire) == 1 {
-            return (
-                f64::from_bits(slot.ln_f.load(Ordering::Relaxed)),
-                f64::from_bits(slot.ln_1mf.load(Ordering::Relaxed)),
-            );
-        }
-        let (ln_f, ln_1mf) = ln_pair(f);
-        slot.ln_f.store(ln_f.to_bits(), Ordering::Relaxed);
-        slot.ln_1mf.store(ln_1mf.to_bits(), Ordering::Relaxed);
-        slot.stamp_ln.store(1, Ordering::Release);
-        (ln_f, ln_1mf)
-    }
 }
 
 impl ScoreDb for MmapDb {
@@ -234,31 +115,33 @@ impl ScoreDb for MmapDb {
         MmapDb::interner(self)
     }
 
-    fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        debug_assert!(
-            *opts == self.opts,
-            "MmapDb serves the options it was opened with"
-        );
-        let _ = opts;
-        self.cached_f(id)
+    /// Counts for a token id: an offset read into the image. Ids at or
+    /// beyond `n_tokens` (interned after load, or from another source)
+    /// are unseen — zero counts, like `TokenDb`.
+    #[inline]
+    fn counts_by_id(&self, id: TokenId) -> TokenCounts {
+        let i = id.index();
+        if i >= self.n_tokens {
+            return TokenCounts::default();
+        }
+        // In bounds: parse proved HEADER_LEN + 8·n_tokens <= len.
+        let bytes = self.bytes.as_slice();
+        let read_u32 = |at: usize| {
+            bytes
+                .get(at..at + 4)
+                .and_then(|b| <[u8; 4]>::try_from(b).ok())
+                .map_or(0, u32::from_le_bytes)
+        };
+        let off = HEADER_LEN + 8 * i;
+        TokenCounts {
+            spam: read_u32(off),
+            ham: read_u32(off + 4),
+        }
     }
 
-    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        self.cached_lns(id, f)
-    }
-}
-
-impl BaseModel for MmapDb {
-    fn base_counts(&self, id: TokenId) -> TokenCounts {
-        self.counts_by_id(id)
-    }
-
-    fn base_n_spam(&self) -> u32 {
-        self.n_spam
-    }
-
-    fn base_n_ham(&self) -> u32 {
-        self.n_ham
+    #[inline]
+    fn class_totals(&self) -> (u32, u32) {
+        (self.n_spam, self.n_ham)
     }
 }
 
@@ -268,6 +151,8 @@ mod tests {
     use sb_email::Label;
     use sb_filter::classify::score_token_ids;
     use sb_filter::image::pack;
+    use sb_filter::score::token_score_from_counts;
+    use sb_filter::TokenDb;
 
     fn trained_db() -> TokenDb {
         let interner = Interner::new();
@@ -314,17 +199,24 @@ mod tests {
         assert_eq!(got.n_clues, want.n_clues);
     }
 
+    /// Serving memoizes an image's scores through a tenant stack's
+    /// [`ScoreMemo`](sb_filter::ScoreMemo); memoized reads (cold and
+    /// repeated) equal the formula on the image's counts.
     #[test]
     fn cached_and_uncached_scores_agree() {
         let opts = FilterOptions::default();
         let db = trained_db();
         let m = mmap_from(&db, opts);
+        let memo = sb_filter::ScoreMemo::with_capacity(m.interner().len());
+        let layers: [&crate::OverlayLayer; 0] = [];
+        let cached = crate::StackView::with_memo(&m, &layers, &memo);
         for (tok, _) in db.iter() {
             let id = m.interner().get(&tok).unwrap();
             let cold = token_score_from_counts(m.n_spam(), m.n_ham(), m.counts_by_id(id), &opts);
-            assert_eq!(m.cached_f(id).to_bits(), cold.to_bits());
-            // Second read comes from the cache.
-            assert_eq!(m.cached_f(id).to_bits(), cold.to_bits());
+            assert_eq!(m.score_f(id, &opts).to_bits(), cold.to_bits());
+            assert_eq!(cached.score_f(id, &opts).to_bits(), cold.to_bits());
+            // Second read comes from the memo.
+            assert_eq!(cached.score_f(id, &opts).to_bits(), cold.to_bits());
         }
     }
 
@@ -335,7 +227,7 @@ mod tests {
         let m = mmap_from(&db, opts);
         let fresh = m.interner().intern("brand-new-token");
         assert_eq!(m.counts_by_id(fresh), TokenCounts::default());
-        assert_eq!(m.cached_f(fresh), opts.unknown_word_prob);
+        assert_eq!(m.score_f(fresh, &opts), opts.unknown_word_prob);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! [`TenantRegistry`]: the serving façade — one shared base model, many
 //! tenants, each a small overlay stack.
 //!
-//! The registry owns an `Arc`'d [`BaseModel`] (usually an
-//! [`crate::MmapDb`] over a packed image), an optional **org patch**
-//! layer shared read-only by every tenant (frozen at construction — the
-//! stacking middle layer, e.g. an org-wide correction batch shipped
-//! between image repacks), and a map of per-tenant [`Tenant`] states.
+//! The registry owns an `Arc`'d base [`ScoreDb`] (usually an
+//! [`crate::MmapDb`] over a packed image; it must not mutate while
+//! served), an optional **org patch** layer shared read-only by every
+//! tenant (frozen at construction — the stacking middle layer, e.g. an
+//! org-wide correction batch shipped between image repacks), and a map
+//! of per-tenant states: a private delta plus its score memo.
 //! A tenant's serving stack is therefore up to 2 layers deep:
 //!
 //! ```text
@@ -19,18 +20,17 @@
 //! Tenants live behind a registry-level `RwLock` map (tenant add/remove
 //! is rare) of per-tenant `RwLock`s: classification takes the tenant lock
 //! in *read* mode — many probe threads classify the same tenant
-//! concurrently, sharing its [`SyncMemo`] lock-free — while train/untrain
+//! concurrently, sharing its [`ScoreMemo`] lock-free — while train/untrain
 //! takes it in write mode and is the only writer of the delta. All lock
 //! poisoning surfaces as [`ServeError::Poisoned`] (a panicking writer may
 //! have left half-applied counts; serving them would violate the
 //! bit-identity contract), never as a propagated panic.
 
-use crate::model::BaseModel;
-use crate::tenant::{OverlayLayer, StackView, SyncMemo};
+use crate::tenant::{OverlayLayer, StackView};
 use crate::ServeError;
 use sb_email::Label;
 use sb_filter::classify::score_token_ids;
-use sb_filter::{FilterOptions, Scored};
+use sb_filter::{FilterOptions, ScoreDb, ScoreMemo, Scored};
 use sb_intern::{par, AsIdSlice, FxHashMap, Interner, TokenId};
 use std::sync::{Arc, RwLock};
 
@@ -42,21 +42,13 @@ pub struct TenantId(pub u32);
 /// One tenant's serving state: the private delta plus the score memo its
 /// probe threads share. Lives behind the registry's per-tenant lock.
 #[derive(Debug)]
-pub struct Tenant {
+struct Tenant {
     delta: OverlayLayer,
-    memo: SyncMemo,
-}
-
-impl Tenant {
-    /// The tenant's private overlay delta (read-only; mutate through the
-    /// registry so memo capacity tracks the interner).
-    pub fn delta(&self) -> &OverlayLayer {
-        &self.delta
-    }
+    memo: ScoreMemo,
 }
 
 /// The multi-tenant serving registry (see module docs).
-pub struct TenantRegistry<B: BaseModel> {
+pub struct TenantRegistry<B: ScoreDb + Send + Sync> {
     base: Arc<B>,
     /// The shared, frozen middle layer (empty = absent; an empty layer
     /// contributes nothing, so the stack is effectively 1-deep then).
@@ -65,7 +57,7 @@ pub struct TenantRegistry<B: BaseModel> {
     tenants: RwLock<FxHashMap<u32, Arc<RwLock<Tenant>>>>,
 }
 
-impl<B: BaseModel> std::fmt::Debug for TenantRegistry<B> {
+impl<B: ScoreDb + Send + Sync> std::fmt::Debug for TenantRegistry<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let n = self.tenants.read().map(|m| m.len()).unwrap_or(0);
         f.debug_struct("TenantRegistry")
@@ -75,7 +67,7 @@ impl<B: BaseModel> std::fmt::Debug for TenantRegistry<B> {
     }
 }
 
-impl<B: BaseModel> TenantRegistry<B> {
+impl<B: ScoreDb + Send + Sync> TenantRegistry<B> {
     /// A registry over `base` with no org patch.
     pub fn new(base: Arc<B>, opts: FilterOptions) -> Self {
         Self::with_org_patch(base, OverlayLayer::new(), opts)
@@ -90,16 +82,6 @@ impl<B: BaseModel> TenantRegistry<B> {
             opts,
             tenants: RwLock::new(FxHashMap::default()),
         }
-    }
-
-    /// The shared base model.
-    pub fn base(&self) -> &Arc<B> {
-        &self.base
-    }
-
-    /// The frozen org patch layer.
-    pub fn org_patch(&self) -> &OverlayLayer {
-        &self.org_patch
     }
 
     /// The interner every tenant's ids resolve against (the base's).
@@ -122,7 +104,7 @@ impl<B: BaseModel> TenantRegistry<B> {
             id.0,
             Arc::new(RwLock::new(Tenant {
                 delta: OverlayLayer::new(),
-                memo: SyncMemo::new(self.base.interner().len()),
+                memo: ScoreMemo::with_capacity(self.base.interner().len()),
             })),
         );
         Ok(())
@@ -213,7 +195,7 @@ impl<B: BaseModel> TenantRegistry<B> {
 
     /// Classify a batch of pre-interned id sets through `id`'s stack, in
     /// parallel (scoped workers, results in input order, chunk sizing per
-    /// `SB_CHUNK`). The tenant's [`SyncMemo`] is shared lock-free across
+    /// `SB_CHUNK`). The tenant's [`ScoreMemo`] is shared lock-free across
     /// the workers, so each distinct token's score is computed once per
     /// stack generation for the whole batch.
     pub fn classify_ids_batch(

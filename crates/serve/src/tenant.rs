@@ -1,6 +1,6 @@
 //! Overlay stacks: persistent per-tenant deltas over a shared read-only
 //! base, combined read-only by [`StackView`] and served to concurrent
-//! probe threads through a [`SyncMemo`].
+//! probe threads through a shared [`ScoreMemo`].
 //!
 //! Where [`sb_filter::CandidateDelta`] is the *measurement* delta — one
 //! immutable candidate message, built per RONI probe and thrown away —
@@ -8,7 +8,7 @@
 //! whole personal training history (arbitrary per-token counts from many
 //! train/untrain calls) and lives as long as the tenant does. Layers
 //! stack: a [`StackView`] lays an ordered list of layers over any
-//! [`BaseModel`] (org patch over the packed base, user delta over that),
+//! [`ScoreDb`] base (org patch over the packed base, user delta over that),
 //! and scoring consults them newest-to-oldest additively — effective
 //! counts are `base + Σ layers`, effective class totals likewise.
 //!
@@ -26,25 +26,25 @@
 //! ## Concurrency
 //!
 //! [`StackView`] is `Sync` when its base is: scoring is read-only, and
-//! the optional [`SyncMemo`] memoizes through the same lock-free
-//! generation-stamped atomic-slot discipline as the `TokenDb` cache —
-//! racing fills are benign duplicates of a pure function. Every layer
-//! mutation bumps that layer's generation, so a stack's *combined*
-//! generation stamps memo slots: a train/untrain anywhere in the stack
-//! silently invalidates every cached score in O(1).
+//! the optional [`ScoreMemo`] is the same lock-free stamped memo every
+//! `ScoreDb` uses — racing fills are benign duplicates of a pure
+//! function. Every layer mutation bumps that layer's generation, so a
+//! stack's *combined* generation (1 + Σ layer generations) is the memo
+//! stamp: a train/untrain anywhere in the stack silently invalidates
+//! every memoized score in O(1). The memo must therefore be bound to
+//! **one** logical stack whose combined generation only grows — the
+//! registry owns exactly one per tenant — over a base that never mutates
+//! while served.
 
-use crate::model::BaseModel;
 use sb_email::Label;
-use sb_filter::score::token_score_from_counts;
-use sb_filter::{ln_pair, FilterOptions, ScoreDb, TokenCounts};
+use sb_filter::{ScoreDb, ScoreMemo, TokenCounts};
 use sb_intern::{FxHashMap, Interner, TokenId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A persistent training delta: the per-token counts and per-class
 /// message totals a tenant's own mail contributed on top of whatever it
 /// stacks on. Mutable only through [`OverlayLayer::train_ids`] /
 /// [`OverlayLayer::untrain_ids`]; every mutation bumps the generation
-/// that stamps downstream [`SyncMemo`] slots.
+/// that stamps downstream [`ScoreMemo`] entries.
 #[derive(Debug, Clone, Default)]
 pub struct OverlayLayer {
     counts: FxHashMap<TokenId, TokenCounts>,
@@ -177,68 +177,6 @@ impl OverlayLayer {
     }
 }
 
-/// One lock-free memo slot, the [`SyncMemo`] unit: the stamp carries the
-/// stack's combined generation (0 = never filled; combined generations
-/// start at 1), published `Release` after the value like every other
-/// score cache in the workspace.
-#[derive(Default)]
-struct MemoSlot {
-    stamp_f: AtomicU64,
-    f: AtomicU64,
-    stamp_ln: AtomicU64,
-    ln_f: AtomicU64,
-    ln_1mf: AtomicU64,
-}
-
-/// A `Sync` score memo for one tenant's stack: dense slots indexed by
-/// `TokenId`, shared lock-free by every probe thread classifying through
-/// the same [`StackView`].
-///
-/// Invalidation is by *stamp*, not by clearing: slots are valid only for
-/// the combined stack generation that filled them, so any layer mutation
-/// (which bumps its generation, hence the combination) obsoletes the
-/// whole memo in O(1) without touching a byte. The memo must therefore be
-/// bound to **one** logical stack whose combined generation only grows —
-/// the registry owns exactly one per tenant.
-///
-/// Capacity is fixed between [`SyncMemo::ensure_capacity`] calls (growing
-/// a `Vec` is not lock-free); ids beyond capacity are computed directly,
-/// never cached, so capacity is purely a performance knob. The registry
-/// re-extends to the interner's length on every (write-locked) train.
-#[derive(Default)]
-pub struct SyncMemo {
-    slots: Vec<MemoSlot>,
-}
-
-impl std::fmt::Debug for SyncMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SyncMemo({} slots)", self.slots.len())
-    }
-}
-
-impl SyncMemo {
-    /// A memo with `capacity` dense slots.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            slots: (0..capacity).map(|_| MemoSlot::default()).collect(),
-        }
-    }
-
-    /// Current slot count.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Grow to at least `capacity` slots (never shrinks). Requires `&mut`
-    /// — callers serialize growth behind their tenant write lock; probe
-    /// threads only ever hold `&SyncMemo`.
-    pub fn ensure_capacity(&mut self, capacity: usize) {
-        while self.slots.len() < capacity {
-            self.slots.push(MemoSlot::default());
-        }
-    }
-}
-
 /// A read-only combined view over a base and an ordered overlay stack,
 /// implementing [`ScoreDb`] — every scoring, δ(E)-selection, and Fisher
 /// path works against it unchanged.
@@ -247,10 +185,10 @@ impl SyncMemo {
 /// base); scoring is additive, so order only matters for bookkeeping and
 /// documentation, never for the numbers.
 #[derive(Debug, Clone, Copy)]
-pub struct StackView<'a, B: BaseModel + ?Sized> {
+pub struct StackView<'a, B: ScoreDb + ?Sized> {
     base: &'a B,
     layers: &'a [&'a OverlayLayer],
-    memo: Option<&'a SyncMemo>,
+    memo: Option<&'a ScoreMemo>,
     /// Effective per-class totals (base + every layer), entering Eq. 1
     /// for every token.
     n_spam: u32,
@@ -259,11 +197,10 @@ pub struct StackView<'a, B: BaseModel + ?Sized> {
     stamp: u64,
 }
 
-impl<'a, B: BaseModel + ?Sized> StackView<'a, B> {
+impl<'a, B: ScoreDb + ?Sized> StackView<'a, B> {
     /// Combine `layers` (bottom-up) over `base`, unmemoized.
     pub fn new(base: &'a B, layers: &'a [&'a OverlayLayer]) -> Self {
-        let mut n_spam = base.base_n_spam();
-        let mut n_ham = base.base_n_ham();
+        let (mut n_spam, mut n_ham) = base.class_totals();
         let mut stamp = 1u64;
         for layer in layers {
             let (ds, dh) = layer.class_shift();
@@ -281,18 +218,13 @@ impl<'a, B: BaseModel + ?Sized> StackView<'a, B> {
         }
     }
 
-    /// [`StackView::new`] with a shared score memo (see [`SyncMemo`] for
-    /// the binding contract).
-    pub fn with_memo(base: &'a B, layers: &'a [&'a OverlayLayer], memo: &'a SyncMemo) -> Self {
+    /// [`StackView::new`] with a shared score memo (see the module docs
+    /// for the binding contract).
+    pub fn with_memo(base: &'a B, layers: &'a [&'a OverlayLayer], memo: &'a ScoreMemo) -> Self {
         Self {
             memo: Some(memo),
             ..Self::new(base, layers)
         }
-    }
-
-    /// The base model under the stack.
-    pub fn base(&self) -> &'a B {
-        self.base
     }
 
     /// Stack depth (number of overlay layers).
@@ -309,11 +241,17 @@ impl<'a, B: BaseModel + ?Sized> StackView<'a, B> {
     pub fn n_ham(&self) -> u32 {
         self.n_ham
     }
+}
+
+impl<B: ScoreDb + ?Sized> ScoreDb for StackView<'_, B> {
+    fn interner(&self) -> &Interner {
+        self.base.interner()
+    }
 
     /// Effective counts for a token: base plus every layer's addition.
     #[inline]
-    pub fn counts_by_id(&self, id: TokenId) -> TokenCounts {
-        let mut c = self.base.base_counts(id);
+    fn counts_by_id(&self, id: TokenId) -> TokenCounts {
+        let mut c = self.base.counts_by_id(id);
         for layer in self.layers {
             let add = layer.added(id);
             c.spam += add.spam;
@@ -322,46 +260,14 @@ impl<'a, B: BaseModel + ?Sized> StackView<'a, B> {
         c
     }
 
-    /// The stack's uncached score — what the memo slots are filled with.
     #[inline]
-    fn compute_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        token_score_from_counts(self.n_spam, self.n_ham, self.counts_by_id(id), opts)
-    }
-}
-
-impl<B: BaseModel + ?Sized> ScoreDb for StackView<'_, B> {
-    fn interner(&self) -> &Interner {
-        self.base.interner()
+    fn class_totals(&self) -> (u32, u32) {
+        (self.n_spam, self.n_ham)
     }
 
-    fn score_f(&self, id: TokenId, opts: &FilterOptions) -> f64 {
-        let Some(slot) = self.memo.and_then(|m| m.slots.get(id.index())) else {
-            return self.compute_f(id, opts);
-        };
-        if slot.stamp_f.load(Ordering::Acquire) == self.stamp {
-            return f64::from_bits(slot.f.load(Ordering::Relaxed));
-        }
-        let f = self.compute_f(id, opts);
-        slot.f.store(f.to_bits(), Ordering::Relaxed);
-        slot.stamp_f.store(self.stamp, Ordering::Release);
-        f
-    }
-
-    fn score_lns(&self, id: TokenId, f: f64) -> (f64, f64) {
-        let Some(slot) = self.memo.and_then(|m| m.slots.get(id.index())) else {
-            return ln_pair(f);
-        };
-        if slot.stamp_ln.load(Ordering::Acquire) == self.stamp {
-            return (
-                f64::from_bits(slot.ln_f.load(Ordering::Relaxed)),
-                f64::from_bits(slot.ln_1mf.load(Ordering::Relaxed)),
-            );
-        }
-        let (ln_f, ln_1mf) = ln_pair(f);
-        slot.ln_f.store(ln_f.to_bits(), Ordering::Relaxed);
-        slot.ln_1mf.store(ln_1mf.to_bits(), Ordering::Relaxed);
-        slot.stamp_ln.store(self.stamp, Ordering::Release);
-        (ln_f, ln_1mf)
+    #[inline]
+    fn memo_for(&self, _id: TokenId) -> Option<(&ScoreMemo, u64)> {
+        self.memo.map(|memo| (memo, self.stamp))
     }
 }
 
@@ -369,7 +275,7 @@ impl<B: BaseModel + ?Sized> ScoreDb for StackView<'_, B> {
 mod tests {
     use super::*;
     use sb_filter::classify::score_token_ids;
-    use sb_filter::TokenDb;
+    use sb_filter::{FilterOptions, TokenDb};
 
     fn toks(words: &[&str]) -> Vec<String> {
         words.iter().map(|s| s.to_string()).collect()
@@ -429,47 +335,6 @@ mod tests {
         assert_eq!(via_stack, via_seq);
     }
 
-    /// Memoized and unmemoized stacks agree bit-for-bit, and a layer
-    /// mutation invalidates the memo (stamps move).
-    #[test]
-    fn memo_agrees_and_invalidates_on_mutation() {
-        let opts = FilterOptions::default();
-        let interner = Interner::new();
-        let base = base_db(&interner);
-        let mut user = OverlayLayer::new();
-        let mail = interner.intern_set(&toks(&["cheap", "offer"]));
-        user.train_ids(&mail, Label::Spam);
-
-        let probe = interner.intern_set(&toks(&["cheap", "offer", "meeting"]));
-        let memo = SyncMemo::new(interner.len());
-
-        {
-            let layers = [&user];
-            let plain = StackView::new(&base, &layers);
-            let memoized = StackView::with_memo(&base, &layers, &memo);
-            for &id in &probe {
-                let want = plain.score_f(id, &opts);
-                assert_eq!(memoized.score_f(id, &opts).to_bits(), want.to_bits());
-                // Second read served from the filled slot.
-                assert_eq!(memoized.score_f(id, &opts).to_bits(), want.to_bits());
-                let lns = memoized.score_lns(id, want);
-                assert_eq!(lns, plain.score_lns(id, want));
-            }
-        }
-
-        // Mutate the layer: stale slots must not serve.
-        user.train_ids(&mail, Label::Spam);
-        let layers = [&user];
-        let plain = StackView::new(&base, &layers);
-        let memoized = StackView::with_memo(&base, &layers, &memo);
-        for &id in &probe {
-            assert_eq!(
-                memoized.score_f(id, &opts).to_bits(),
-                plain.score_f(id, &opts).to_bits()
-            );
-        }
-    }
-
     /// Untrain is exact and fail-closed: removing trained mail restores
     /// the previous state; removing anything else is a typed refusal that
     /// mutates nothing.
@@ -499,6 +364,47 @@ mod tests {
         assert_eq!(layer.added(mail[0]), TokenCounts::default());
     }
 
+    /// Memoized and unmemoized stacks agree bit-for-bit, and a layer
+    /// mutation invalidates the memo (stamps move).
+    #[test]
+    fn memo_agrees_and_invalidates_on_mutation() {
+        let opts = FilterOptions::default();
+        let interner = Interner::new();
+        let base = base_db(&interner);
+        let mut user = OverlayLayer::new();
+        let mail = interner.intern_set(&toks(&["cheap", "offer"]));
+        user.train_ids(&mail, Label::Spam);
+
+        let probe = interner.intern_set(&toks(&["cheap", "offer", "meeting"]));
+        let memo = ScoreMemo::with_capacity(interner.len());
+
+        {
+            let layers = [&user];
+            let plain = StackView::new(&base, &layers);
+            let memoized = StackView::with_memo(&base, &layers, &memo);
+            for &id in &probe {
+                let want = plain.score_f(id, &opts);
+                assert_eq!(memoized.score_f(id, &opts).to_bits(), want.to_bits());
+                // Second read served from the filled slot.
+                assert_eq!(memoized.score_f(id, &opts).to_bits(), want.to_bits());
+                let lns = memoized.score_lns(id, want);
+                assert_eq!(lns, plain.score_lns(id, want));
+            }
+        }
+
+        // Mutate the layer: stale slots must not serve.
+        user.train_ids(&mail, Label::Spam);
+        let layers = [&user];
+        let plain = StackView::new(&base, &layers);
+        let memoized = StackView::with_memo(&base, &layers, &memo);
+        for &id in &probe {
+            assert_eq!(
+                memoized.score_f(id, &opts).to_bits(),
+                plain.score_f(id, &opts).to_bits()
+            );
+        }
+    }
+
     /// Ids beyond the memo's capacity are computed directly — correctness
     /// never depends on capacity.
     #[test]
@@ -508,7 +414,7 @@ mod tests {
         let base = base_db(&interner);
         let user = OverlayLayer::new();
         let layers = [&user];
-        let memo = SyncMemo::new(1);
+        let memo = ScoreMemo::with_capacity(1);
         let memoized = StackView::with_memo(&base, &layers, &memo);
         let plain = StackView::new(&base, &layers);
         for tok in ["cheap", "meeting", "brand-new"] {

@@ -5,14 +5,19 @@
 //! (org patch over base under tenant delta) equals one `TokenDb` that
 //! trained the same mail sequentially. Plus fail-closed corruption:
 //! any byte flip or truncation of an image is a typed error, never a
-//! panic, never a silently different model.
+//! panic, never a silently different model. And the one memo contract
+//! every `ScoreDb` shares, checked table-driven across all four
+//! implementations (this is the one test crate that sees them all).
 
 use proptest::prelude::*;
 use sb_email::Label;
 use sb_filter::classify::score_token_ids;
-use sb_filter::{image, FilterOptions, TokenDb};
+use sb_filter::score::token_score_from_counts;
+use sb_filter::{
+    image, ln_pair, CandidateDelta, FilterOptions, OverlayScratch, ScoreDb, ScoreMemo, TokenDb,
+};
 use sb_intern::{Interner, TokenId};
-use sb_serve::{MmapDb, OverlayLayer, ServeError, TenantId, TenantRegistry};
+use sb_serve::{ImageBytes, MmapDb, OverlayLayer, ServeError, StackView, TenantId, TenantRegistry};
 use std::sync::Arc;
 
 /// Small alphabet keeps token collisions (shared counts) likely.
@@ -46,6 +51,145 @@ fn intern(interner: &Interner, set: &[String]) -> Vec<TokenId> {
     interner.intern_set(set)
 }
 
+/// The memo contract, checked on one view: every `f` and `ln` pair it
+/// serves has the bits of the unmemoized formula over the view's own
+/// counts view, on the first (filling) read and on a repeat read. Run
+/// after a mutation, a stale memo entry would fail the comparison.
+fn check_memo_contract(
+    view: &dyn ScoreDb,
+    probe: &[TokenId],
+    opts: &FilterOptions,
+) -> Result<(), TestCaseError> {
+    let (n_spam, n_ham) = view.class_totals();
+    for &id in probe {
+        let want = token_score_from_counts(n_spam, n_ham, view.counts_by_id(id), opts);
+        let (want_ln_f, want_ln_1mf) = ln_pair(want);
+        for read in ["fill", "repeat"] {
+            let f = view.score_f(id, opts);
+            prop_assert_eq!(f.to_bits(), want.to_bits(), "{} read of f", read);
+            let (ln_f, ln_1mf) = view.score_lns(id, f);
+            prop_assert_eq!(
+                (ln_f.to_bits(), ln_1mf.to_bits()),
+                (want_ln_f.to_bits(), want_ln_1mf.to_bits()),
+                "{} read of the ln pair",
+                read
+            );
+        }
+    }
+    Ok(())
+}
+
+/// One row of the memo table: a `ScoreDb` implementation, memoized or
+/// not.
+#[derive(Debug, Clone, Copy)]
+enum Row {
+    TokenDb,
+    MmapDb,
+    Stack { memo: bool },
+    Overlay { scratch: bool },
+}
+
+const ROWS: [Row; 6] = [
+    Row::TokenDb,
+    Row::MmapDb,
+    Row::Stack { memo: false },
+    Row::Stack { memo: true },
+    Row::Overlay { scratch: false },
+    Row::Overlay { scratch: true },
+];
+
+/// The mail and probes one memo-table case runs every row on.
+struct MemoCase {
+    base: Vec<(Vec<String>, bool)>,
+    layer: Vec<(Vec<String>, bool)>,
+    /// Each candidate's own tokens, plus a mask of the probe tokens it
+    /// also contains (bit `i % 8` for probe token `i`).
+    candidates: Vec<(Vec<String>, u8)>,
+    candidate_label: Label,
+    multiplicity: u32,
+    probe: Vec<String>,
+    /// Memo capacity in halves of the interner length (0 = no entries,
+    /// 1 = half the ids score unmemoized, 2 = every id memoized).
+    capacity_halves: usize,
+}
+
+impl MemoCase {
+    /// Check `row` before and after each mutation its type supports:
+    /// training the db or the tenant layer (every probe token gains a
+    /// count, so every memoized score moves), and laying a new candidate
+    /// over a reused overlay scratch.
+    fn check(&self, row: Row) -> Result<(), TestCaseError> {
+        let opts = FilterOptions::default();
+        let interner = Interner::new();
+        let mut db = TokenDb::with_interner(interner.clone());
+        train_all(&mut db, &self.base);
+        let probe = intern(&interner, &self.probe);
+        let capacity = |interner: &Interner| interner.len() * self.capacity_halves / 2;
+        match row {
+            Row::TokenDb => {
+                check_memo_contract(&db, &probe, &opts)?;
+                db.train_ids(&probe, Label::Spam);
+                check_memo_contract(&db, &probe, &opts)
+            }
+            Row::MmapDb => {
+                let served = MmapDb::from_bytes(ImageBytes::Owned(image::pack(&db)), opts)
+                    .map_err(|e| TestCaseError::Fail(e.to_string()))?;
+                let probe = intern(served.interner(), &self.probe);
+                check_memo_contract(&served, &probe, &opts)
+            }
+            Row::Stack { memo } => {
+                let mut layer = OverlayLayer::new();
+                for (set, is_spam) in &self.layer {
+                    layer.train_ids(&intern(&interner, set), label(*is_spam));
+                }
+                let score_memo = ScoreMemo::with_capacity(capacity(&interner));
+                for _ in 0..2 {
+                    let layers = [&layer];
+                    let view = if memo {
+                        StackView::with_memo(&db, &layers, &score_memo)
+                    } else {
+                        StackView::new(&db, &layers)
+                    };
+                    check_memo_contract(&view, &probe, &opts)?;
+                    layer.train_ids(&probe, Label::Spam);
+                }
+                Ok(())
+            }
+            Row::Overlay { scratch } => {
+                let mut overlay_scratch = OverlayScratch::new();
+                let candidates: Vec<Vec<TokenId>> = self
+                    .candidates
+                    .iter()
+                    .map(|(own, mask)| {
+                        let mut set = own.clone();
+                        for (i, token) in self.probe.iter().enumerate() {
+                            if mask >> (i % 8) & 1 == 1 {
+                                set.push(token.clone());
+                            }
+                        }
+                        intern(&interner, &set)
+                    })
+                    .collect();
+                overlay_scratch.ensure_capacity(capacity(&interner));
+                for (k, candidate) in candidates.iter().enumerate() {
+                    if k + 1 == candidates.len() {
+                        db.train_ids(&probe, Label::Spam);
+                    }
+                    let delta =
+                        CandidateDelta::new(candidate, self.candidate_label, self.multiplicity);
+                    if scratch {
+                        let view = delta.over_with(&db, &mut overlay_scratch);
+                        check_memo_contract(&view, &probe, &opts)?;
+                    } else {
+                        check_memo_contract(&delta.over(&db), &probe, &opts)?;
+                    }
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
 /// Write `bytes` to a unique temp file, run `f`, clean up.
 fn with_temp_image<R>(tag: &str, bytes: &[u8], f: impl FnOnce(&std::path::Path) -> R) -> R {
     let path = std::env::temp_dir().join(format!(
@@ -60,6 +204,35 @@ fn with_temp_image<R>(tag: &str, bytes: &[u8], f: impl FnOnce(&std::path::Path) 
 }
 
 proptest! {
+    /// Every `ScoreDb` — `TokenDb`, `MmapDb`, `StackView` with and
+    /// without a memo, `OverlayDb` with and without a scratch — serves
+    /// the exact unmemoized scores through the shared `ScoreMemo`, on
+    /// repeat reads and across every mutation, whatever the memo's
+    /// capacity.
+    #[test]
+    fn every_score_db_serves_exact_fresh_scores_through_its_memo(
+        base in mail(),
+        layer in mail(),
+        candidates in proptest::collection::vec((token_set(), any::<u8>()), 2..4),
+        candidate_spam in any::<bool>(),
+        multiplicity in 0u32..3,
+        probe in token_set(),
+        capacity_halves in 0usize..3,
+    ) {
+        let case = MemoCase {
+            base,
+            layer,
+            candidates,
+            candidate_label: label(candidate_spam),
+            multiplicity,
+            probe,
+            capacity_halves,
+        };
+        for row in ROWS {
+            case.check(row)?;
+        }
+    }
+
     /// pack → mmap-load → score is bit-identical to the source TokenDb,
     /// across interners (the image rebuilds its own dense interner).
     #[test]
